@@ -157,6 +157,8 @@ def report_bench_json(path: Path, history: Path | None = None) -> list[str]:
         "batch_solves",
         "fast_solves",
         "fast_points",
+        "fast_lane_solves",
+        "fast_lane_points",
         "mean_batch_size",
         "points_per_python_call",
         "scalar_call_reduction",

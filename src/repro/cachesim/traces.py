@@ -19,6 +19,7 @@ reproducible; addresses are line-aligned.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterator
 
 import numpy as np
@@ -33,6 +34,18 @@ __all__ = [
 ]
 
 LINE = 64
+
+#: Values drawn per ``rng`` call by the lazily drawing generators. Chunked
+#: ``Generator.integers``/``zipf`` draws equal the one-shot draw (the bit
+#: generator carries its state across calls), so traces do not depend on
+#: it; it only bounds memory for huge ``n_accesses``.
+_CHUNK = 65536
+
+
+def _chunked(n_accesses: int, draw) -> Iterator[int]:
+    """``n_accesses`` values of ``draw(size)``, drawn :data:`_CHUNK` at a time."""
+    for start in range(0, n_accesses, _CHUNK):
+        yield from draw(min(_CHUNK, n_accesses - start)).tolist()
 
 
 def streaming_trace(
@@ -62,9 +75,8 @@ def working_set_trace(
     """Uniform random reuse over a hot set of ``ws_lines`` lines."""
     check_positive_int("n_accesses", n_accesses)
     check_positive_int("ws_lines", ws_lines)
-    picks = rng.integers(0, ws_lines, size=n_accesses)
-    for p in picks:
-        yield base + int(p) * LINE
+    for p in _chunked(n_accesses, partial(rng.integers, 0, ws_lines)):
+        yield base + p * LINE
 
 
 def zipf_trace(
@@ -84,9 +96,8 @@ def zipf_trace(
     check_positive_int("universe_lines", universe_lines)
     if exponent <= 1.0:
         raise ValueError(f"exponent must be > 1, got {exponent}")
-    ranks = rng.zipf(exponent, size=n_accesses)
-    for r in ranks:
-        yield base + (int(r - 1) % universe_lines) * LINE
+    for r in _chunked(n_accesses, partial(rng.zipf, exponent)):
+        yield base + ((r - 1) % universe_lines) * LINE
 
 
 def mixed_trace(

@@ -115,9 +115,13 @@ def _prewarm_phase_products(
     A no-op for ``precision="exact"`` (the scalar-parity path keeps its
     historical per-cell solve pattern) and for cells whose mix or policy
     setup fails — those cells surface their own errors when they run.
-    Returns the number of operating points submitted.
+    Likewise a point that does not converge never aborts the campaign:
+    the batch memoises every converged point and leaves the failed ones
+    out, so the cell owning a failed point fails when it runs, under the
+    campaign's retry / quarantine rules. Returns the number of operating
+    points submitted.
     """
-    from repro.sim.contention import GLOBAL_STEADY_CACHE
+    from repro.sim.contention import GLOBAL_STEADY_CACHE, ConvergenceError
     from repro.sim.kernels import use_kernel
     from repro.sim.partition import PartitionSpec
     from repro.sim.server import phase_product_points
@@ -149,7 +153,12 @@ def _prewarm_phase_products(
         )
     if points:
         with use_kernel(kernel):
-            GLOBAL_STEADY_CACHE.solve_many(platform, points, precision="fast")
+            try:
+                GLOBAL_STEADY_CACHE.solve_many(
+                    platform, points, precision="fast"
+                )
+            except ConvergenceError:
+                pass  # converged points are memoised; see above
     return len(points)
 
 

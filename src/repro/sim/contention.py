@@ -27,11 +27,13 @@ default) is the bitwise contract above. ``"fast"`` trades it for a
 :data:`FAST_REL_TOL` / :data:`FAST_WAYS_ATOL` — in exchange for a fully
 vectorised kernel: ``np.power`` queue tails, vectorised transcendental MRC
 evaluation, and lane-batched pressure sharing, with no masked-scalar tail.
-Fast results are still *pure per lane*: a lane's bits depend only on its
-own operating point, never on batch composition, so fused cross-cell
-batches, memoisation and the serial-vs-parallel determinism audit all keep
-working. Set ``REPRO_FAST_CHECK=1`` to shadow every fast solve with an
-exact solve and assert the contract at runtime.
+Calls of a few points take the fast kernel's per-lane path instead, which
+gives the same bits in Python floats. Fast results are still *pure per
+lane*: a lane's bits depend only on its own operating point, never on
+batch composition or path, so fused cross-cell batches, memoisation and
+the serial-vs-parallel determinism audit all keep working. Set
+``REPRO_FAST_CHECK=1`` to shadow every fast solve with an exact solve and
+assert the contract at runtime.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ import numpy as np
 
 from repro.obs import get_registry
 from repro.sim.llc import (
+    _ordered_sum,
     effective_ways,
     effective_ways_batch,
     waterfill,
@@ -105,6 +108,10 @@ SOLVER_COUNTERS: dict[str, int] = {
     "fast_solves": 0,
     "fast_points": 0,
     "fast_iterations": 0,
+    # The share of fast_* work that took the per-lane path (small calls,
+    # see _solve_batch_fast); already included in fast_solves/fast_points.
+    "fast_lane_solves": 0,
+    "fast_lane_points": 0,
     # The numba kernel (repro.sim.kernels "compiled"); when it bails out
     # or numba is absent the work lands in the fast_* counters instead,
     # so fast_* + compiled_* is the total precision="fast" workload.
@@ -176,8 +183,10 @@ def solver_counters() -> dict:
     The flat keys are the raw counters. ``by_kernel`` is a derived view
     attributing work to the kernel implementation that did it (``exact``
     combines the scalar and exact-batch paths; ``fast`` is the NumPy
-    kernel; ``compiled`` the numba kernel), so ``report --metrics`` and
-    bench artefacts can say which kernel solved what.
+    kernel, whose ``lane_*`` keys count the calls and points it served
+    through its per-lane path; ``compiled`` the numba kernel), so
+    ``report --metrics`` and bench artefacts can say which kernel solved
+    what.
     """
     snap: dict = dict(SOLVER_COUNTERS)
     snap["by_kernel"] = {
@@ -191,6 +200,8 @@ def solver_counters() -> dict:
             "solves": snap["fast_solves"],
             "points": snap["fast_points"],
             "iterations": snap["fast_iterations"],
+            "lane_solves": snap["fast_lane_solves"],
+            "lane_points": snap["fast_lane_points"],
         },
         "compiled": {
             "solves": snap["compiled_solves"],
@@ -208,7 +219,17 @@ def reset_solver_counters() -> None:
 
 
 class ConvergenceError(RuntimeError):
-    """The fixed-point iteration failed to settle within the budget."""
+    """The fixed-point iteration failed to settle within the budget.
+
+    A ``precision="fast"`` solve finishes every other point of its call
+    before raising: ``states`` then holds the call's results in point
+    order, with ``None`` for each point that did not converge, so callers
+    can keep the converged ones (``None`` on errors from other paths).
+    ``iterations`` is the iteration count at which the solve gave up.
+    """
+
+    states: list | None = None
+    iterations: int | None = None
 
 
 @dataclass(frozen=True)
@@ -304,7 +325,13 @@ def _initial_ways(partition: PartitionSpec, caps: np.ndarray) -> np.ndarray:
     return np.minimum(ways, caps)
 
 
-def _illinois_root(excess, guess: float, lat_floor: float, lat_ceil: float) -> float:
+def _illinois_root(
+    excess,
+    guess: float,
+    lat_floor: float,
+    lat_ceil: float,
+    gap_rtol: float = 1e-7,
+) -> float:
     """Root of a strictly decreasing ``excess`` on ``[lat_floor, lat_ceil]``.
 
     Brackets the root around ``guess`` by geometric expansion, then closes
@@ -312,7 +339,8 @@ def _illinois_root(excess, guess: float, lat_floor: float, lat_ceil: float) -> f
     superlinear in practice (~6-10 evaluations vs ~50 for plain bisection).
     The expansion loops carry the previously evaluated endpoint forward, so
     no point is ever evaluated twice (the pre-refactor code re-evaluated
-    ``excess`` at the step before the sign flip).
+    ``excess`` at the step before the sign flip). ``gap_rtol`` is the
+    relative bracket-gap stop, as in :func:`_illinois_root_batch`.
     """
     if excess(lat_floor) <= 0.0:
         return lat_floor
@@ -343,7 +371,7 @@ def _illinois_root(excess, guess: float, lat_floor: float, lat_ceil: float) -> f
 
     # Illinois regula falsi on the strictly decreasing excess().
     for _ in range(60):
-        if hi - lo < 1e-7 * hi:
+        if hi - lo < gap_rtol * hi:
             break
         mid = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
         if not lo < mid < hi:
@@ -405,8 +433,8 @@ def solve_steady_state(
         ``precision="fast"``.
     precision:
         ``"exact"`` (default) runs the bitwise-reproducible scalar solver;
-        ``"fast"`` routes the point through the tolerance-contracted
-        vectorised kernel (DESIGN.md §10). Fast results are a pure
+        ``"fast"`` routes the point through the tolerance-contracted fast
+        kernel's per-lane path (DESIGN.md §10). Fast results are a pure
         function of the operating point (``warm_start`` is ignored), so
         they stay safe to memoise.
     """
@@ -417,17 +445,137 @@ def solve_steady_state(
         return _solve_batch_fast(
             platform, parsed, tol=tol, max_iter=max_iter, damping=damping
         )[0]
-    n = partition.n_cores
-    cpi_exe, apki, blocking, bytes_per_miss, caps, throttle = _point_params(
-        platform, phases, partition, mba_scale, prefetch
-    )
+    params = _point_params(platform, phases, partition, mba_scale, prefetch)
     _record_point(tuple(phases), partition, mba_scale, prefetch)
+    state = _solve_point(
+        platform, phases, partition, params,
+        tol=tol, max_iter=max_iter, damping=damping, warm_start=warm_start,
+    )
+    SOLVER_COUNTERS["scalar_solves"] += 1
+    SOLVER_COUNTERS["scalar_iterations"] += state.iterations
+    return state
+
+
+def _np_power(base: float, exponent: float) -> float:
+    """``base ** exponent`` through NumPy's power kernel (see DESIGN.md §10)."""
+    return float(np.power(base, exponent))
+
+
+#: Index into a ``fused_fast_params()`` tuple ``(floor, span, blend, scale,
+#: knee, sharpness, at_one)`` for each zone of a fused curve plane.
+_FUSED_ZONES = (4, 5, 2, 3, 0, 1, 6)
+
+
+def _fused_mrc(ways: np.ndarray, plane: np.ndarray, width: int) -> np.ndarray:
+    """The fast kernels' fused curve expression, elementwise over ``ways``.
+
+    ``plane`` stacks seven zones of ``width`` coefficients along its last
+    axis — ``[knee | sharp | blend | scale | floor | span | at_one]`` (see
+    :meth:`~repro.workloads.mrc.MissRatioCurve.fused_fast_params`) — for
+    one lane (1-D) or a batch of lanes (2-D). One expression covers
+    constant, exponential, knee and blended curves. Elementwise only, so
+    a slot's value never depends on the other slots or lanes; the two
+    ``np.exp`` calls are the only transcendentals.
+    """
+    z = (ways - plane[..., :width]) / plane[..., width : 2 * width]
+    kp = 1.0 - 1.0 / (1.0 + np.exp(-np.clip(z, -40.0, 40.0)))
+    kp = np.where(z > 40.0, 0.0, np.where(z < -40.0, 1.0, kp))
+    blend = plane[..., 2 * width : 3 * width]
+    exp_part = np.exp(-ways / plane[..., 3 * width : 4 * width])
+    captured = blend * exp_part + (1.0 - blend) * kp
+    value = (
+        plane[..., 4 * width : 5 * width]
+        + plane[..., 5 * width : 6 * width] * captured
+    )
+    at1 = plane[..., 6 * width :]
+    value = np.where(ways < 1.0, 1.0 + (at1 - 1.0) * ways, value)
+    return np.clip(value, 0.0, 1.0)
+
+
+def _lane_mrc_fast(phases: Sequence[Phase]):
+    """The fast kernel's MRC evaluation for one lane, as a closure.
+
+    Packs the lane's fused curve coefficients once (the layout of one row
+    of the batch kernel's curve plane) and evaluates them with
+    :func:`_fused_mrc`; curves without fused coefficients (tabulated)
+    are overwritten through their own ``eval_many_fast`` — the batch
+    kernel's order of operations, slot for slot.
+    """
+    n = len(phases)
+    plane = np.ones(7 * n)
+    plane[4 * n : 6 * n] = 0.0
+    other: list[tuple[int, object]] = []
+    fp_cache: dict[int, tuple | None] = {}
+    for c, phase in enumerate(phases):
+        curve = phase.mrc
+        key = id(curve)
+        if key not in fp_cache:
+            fp_cache[key] = curve.fused_fast_params()
+        fp = fp_cache[key]
+        if fp is None:
+            other.append((c, curve))
+        else:
+            plane[c::n] = [fp[k] for k in _FUSED_ZONES]
+
+    def mrc_eval(ways: np.ndarray) -> np.ndarray:
+        mr = _fused_mrc(ways, plane, n)
+        for c, curve in other:
+            mr[c] = curve.eval_many_fast(ways[c : c + 1])[0]
+        return mr
+
+    return mrc_eval
+
+
+def _solve_point(
+    platform: PlatformConfig,
+    phases: Sequence[Phase],
+    partition: PartitionSpec,
+    params: tuple[np.ndarray, ...],
+    *,
+    tol: float,
+    max_iter: int,
+    damping: float,
+    warm_start: tuple[Sequence[float], float] | None = None,
+    fast_lane: int | None = None,
+) -> SteadyState:
+    """The damped fixed point for one operating point (no counters).
+
+    ``params`` are the point's :func:`_point_params` arrays. With
+    ``fast_lane=None`` this is the bitwise-exact scalar solver behind
+    :func:`solve_steady_state`. An integer makes it the fast kernel's
+    per-lane path (DESIGN.md §10), bit-for-bit equal to lane
+    ``fast_lane`` of :func:`_solve_fast_vectorised`: outputs, iteration
+    count and convergence failure alike. The loop is shared; it branches
+    only where the fast kernel's arithmetic differs from the exact one:
+
+    * the fused MRC expression instead of ``phase.mrc(w)``;
+    * the queue-curve tail through ``np.power`` instead of Python ``**``;
+    * a loosened bracket gap (``gap_rtol=1e-4``) on intermediate latency
+      roots;
+    * fixed core-order sums for the shared-zone split and the rationing
+      demand / utilisation (the exact solver keeps NumPy's pairwise sum).
+
+    Fast lanes are cold solves: their callers never pass ``warm_start``.
+    """
+    fast = fast_lane is not None
+    n = partition.n_cores
+    cpi_exe, apki, blocking, bytes_per_miss, caps, throttle = params
 
     link = MemoryLink.from_platform(platform)
     freq = platform.freq_hz
 
-    def mrc_eval(ways: np.ndarray) -> np.ndarray:
-        return np.array([p.mrc(w) for p, w in zip(phases, ways)])
+    if fast:
+        mrc_eval = _lane_mrc_fast(phases)
+        power = _np_power
+        # Intermediate latency roots: the fast kernel's loosened gap.
+        gap_rtol = 1e-4
+    else:
+
+        def mrc_eval(ways: np.ndarray) -> np.ndarray:
+            return np.array([p.mrc(w) for p, w in zip(phases, ways)])
+
+        power = pow
+        gap_rtol = 1e-7
 
     lat_floor = link.base_latency_cycles
     lat_ceil = link.max_latency_cycles
@@ -447,7 +595,9 @@ def solve_steady_state(
     gain = link.queue_gain
     q_exp = link.queue_exponent
 
-    def solve_latency(mpi: np.ndarray, guess: float) -> float:
+    def solve_latency(
+        mpi: np.ndarray, guess: float, gap_rtol: float = 1e-7
+    ) -> float:
         """Inner 1-D fixed point: latency consistent with its own demand.
 
         For fixed per-core miss rates, the map
@@ -478,9 +628,9 @@ def solve_steady_state(
             u = demand * inv_capacity
             if u > u_cap:
                 u = u_cap
-            return lat_floor * (1.0 + gain * (u / (1.0 - u)) ** q_exp) - lat
+            return lat_floor * (1.0 + gain * power(u / (1.0 - u), q_exp)) - lat
 
-        return _illinois_root(excess, guess, lat_floor, lat_ceil)
+        return _illinois_root(excess, guess, lat_floor, lat_ceil, gap_rtol)
 
     # Initial iterate; a warm start replaces the cold guess with the
     # caller's previous iterate (clamped into the feasible region).
@@ -505,7 +655,7 @@ def solve_steady_state(
         iterations += 1
         mr = mrc_eval(ways)
         mpi = apki * mr  # misses per instruction
-        latency = solve_latency(mpi, latency)
+        latency = solve_latency(mpi, latency, gap_rtol)
         ipc = 1.0 / (cpi_exe + mpi * blocking * (latency / throttle))
 
         # Insertion pressure: under LRU only MISSES insert lines (hits
@@ -513,7 +663,8 @@ def solve_steady_state(
         # occupancy tracks each competitor's miss rate, not its access rate.
         pressure = freq * ipc * mpi
         ways_target = effective_ways(
-            partition, pressure, caps, platform.pressure_theta
+            partition, pressure, caps, platform.pressure_theta,
+            core_order=fast,
         )
         ways_next = (1 - step) * ways + step * ways_target
         ways_delta = float(np.max(np.abs(ways_next - ways)))
@@ -533,12 +684,19 @@ def solve_steady_state(
                 max_iter_budget = max_iter * 10
         prev_delta = ways_delta
     if iterations >= max_iter_budget:
-        raise ConvergenceError(
-            f"no convergence after {iterations} iterations "
-            f"(latency={latency:.1f} cy)"
-        )
-    SOLVER_COUNTERS["scalar_solves"] += 1
-    SOLVER_COUNTERS["scalar_iterations"] += iterations
+        if fast:
+            message = (
+                f"fast lane {fast_lane}: no convergence after {iterations} "
+                f"iterations (latency={latency:.1f} cy, precision=fast)"
+            )
+        else:
+            message = (
+                f"no convergence after {iterations} iterations "
+                f"(latency={latency:.1f} cy)"
+            )
+        error = ConvergenceError(message)
+        error.iterations = iterations
+        raise error
 
     # Final consistent evaluation at the converged operating point. The
     # damped iterate can sit an epsilon above an occupancy cap (it converges
@@ -551,6 +709,10 @@ def solve_steady_state(
     ipc = 1.0 / cpi
     bw = freq * ipc * mpi * bytes_per_miss
 
+    def total(x: np.ndarray) -> float:
+        # The fast kernel sums in core order; exact keeps NumPy's sum.
+        return _ordered_sum(x.tolist()) if fast else float(x.sum())
+
     # Bandwidth rationing. The latency curve is capped (utilisation_cap), so
     # under extreme overload the latency equilibrium alone can leave
     # aggregate demand above the physical link capacity. When that happens
@@ -559,7 +721,7 @@ def solve_steady_state(
     # full demand, heavy ones split the remainder — approximating the
     # fairness of FR-FCFS memory scheduling), and each throttled core's IPC
     # drops in proportion to its granted fraction.
-    demand = float(bw.sum())
+    demand = total(bw)
     if demand > link.capacity_bytes:
         granted = waterfill(
             link.capacity_bytes, np.ones(n), np.asarray(bw, dtype=float)
@@ -576,7 +738,7 @@ def solve_steady_state(
         latency_cycles=float(latency),
         # True achieved utilisation (rationing guarantees <= 1); the capped
         # MemoryLink.utilisation is only for the latency curve's domain.
-        utilisation=float(bw.sum()) / link.capacity_bytes,
+        utilisation=total(bw) / link.capacity_bytes,
         iterations=iterations,
     )
 
@@ -1117,6 +1279,15 @@ def _assert_fast_contract(
             )
 
 
+#: Fast calls with fewer points than this take the per-lane path
+#: (:func:`_solve_fast_lanes`); larger ones the vectorised kernel. Per
+#: point, a lane costs the same at any call size while the vectorised
+#: kernel's fixed NumPy dispatch cost is spread over the batch; they cross
+#: near B=16 on 10-core points, and this sits below it (DESIGN.md §10).
+#: Both paths give the same bits, so this only moves time, never a result.
+_LANE_PATH_BELOW = 8
+
+
 def _solve_batch_fast(
     platform: PlatformConfig,
     parsed: list[tuple],
@@ -1125,7 +1296,113 @@ def _solve_batch_fast(
     max_iter: int,
     damping: float,
 ) -> list[SteadyState]:
-    """Tolerance-contracted vectorised kernel behind ``precision="fast"``.
+    """The kernel behind ``precision="fast"``, chosen by call size.
+
+    Small calls — the one-point solves of a stepped ``Server`` — take the
+    per-lane path (:func:`_solve_fast_lanes`), large fused batches the
+    vectorised kernel (:func:`_solve_fast_vectorised`). The two are
+    bit-for-bit equal lane by lane, iteration counts and convergence
+    failures included, so a fast memo entry is the same whichever path,
+    batch or call order produced it.
+
+    When the thread's active kernel request resolves to ``compiled``
+    (see :mod:`repro.sim.kernels`), the batch is handed to the numba
+    kernel first — same tolerance contract, same lane purity — and the
+    NumPy paths only run when the compiled kernel is unavailable or
+    bails out (tabulated curves).
+
+    A point that does not converge raises :class:`ConvergenceError` once
+    every other point of the call is solved, with their results in
+    ``states``. ``REPRO_FAST_CHECK=1`` shadows every successful call with
+    an exact solve and asserts the tolerance contract.
+    """
+    from repro.sim import kernels as _kernels
+
+    out = None
+    if _kernels.resolve_kernel(precision="fast") == "compiled":
+        out = _kernels.compiled_solve_batch(
+            platform, parsed, tol=tol, max_iter=max_iter, damping=damping
+        )
+    if out is None:
+        solve = (
+            _solve_fast_lanes
+            if len(parsed) < _LANE_PATH_BELOW
+            else _solve_fast_vectorised
+        )
+        out = solve(
+            platform, parsed, tol=tol, max_iter=max_iter, damping=damping
+        )
+    if _fast_check_enabled():
+        _assert_fast_contract(
+            platform, parsed, out, tol=tol, max_iter=max_iter, damping=damping
+        )
+    return out
+
+
+def _raise_failed(failures: list[tuple[int, int, ConvergenceError]], out):
+    """Raise the first failure of a fast call, carrying its other results.
+
+    ``failures`` holds ``(iterations, lane, error)``; the vectorised
+    kernel advances all lanes in step, so its first failure is the one
+    with the fewest iterations, then the lowest lane — the per-lane path
+    picks the same one.
+    """
+    _iterations, _lane, error = min(failures, key=lambda f: f[:2])
+    failed = {lane for _iterations, lane, _error in failures}
+    error.states = [
+        None if lane in failed else state for lane, state in enumerate(out)
+    ]
+    raise error
+
+
+def _solve_fast_lanes(
+    platform: PlatformConfig,
+    parsed: list[tuple],
+    *,
+    tol: float,
+    max_iter: int,
+    damping: float,
+) -> list[SteadyState]:
+    """The fast kernel's per-lane path: one :func:`_solve_point` per point.
+
+    Python floats instead of one-row NumPy arrays, bit-for-bit equal to
+    the vectorised kernel's lanes (see :func:`_solve_point`).
+    """
+    out: list = []
+    failures = []
+    iterations = 0
+    for lane, (phases, partition, _mba, params) in enumerate(parsed):
+        try:
+            state = _solve_point(
+                platform, phases, partition, params,
+                tol=tol, max_iter=max_iter, damping=damping, fast_lane=lane,
+            )
+        except ConvergenceError as error:
+            failures.append((error.iterations, lane, error))
+            iterations += error.iterations
+            out.append(None)
+            continue
+        iterations += state.iterations
+        out.append(state)
+    SOLVER_COUNTERS["fast_solves"] += 1
+    SOLVER_COUNTERS["fast_points"] += len(parsed)
+    SOLVER_COUNTERS["fast_iterations"] += iterations
+    SOLVER_COUNTERS["fast_lane_solves"] += 1
+    SOLVER_COUNTERS["fast_lane_points"] += len(parsed)
+    if failures:
+        _raise_failed(failures, out)
+    return out
+
+
+def _solve_fast_vectorised(
+    platform: PlatformConfig,
+    parsed: list[tuple],
+    *,
+    tol: float,
+    max_iter: int,
+    damping: float,
+) -> list[SteadyState]:
+    """Tolerance-contracted vectorised fast kernel (large calls).
 
     Same damped fixed point + Illinois structure as the exact batch, with
     the parity shackles off: MRC curves evaluate through their vectorised
@@ -1142,28 +1419,10 @@ def _solve_batch_fast(
     fixed core order (pad columns contribute exactly ``0.0``), batched
     sharing walks the scalar decision sequence per lane, and NumPy's
     elementwise transcendental kernels are value-deterministic regardless
-    of array position — guarded by a property test in
-    tests/sim/test_fastmath.py.
-
-    When the thread's active kernel request resolves to ``compiled``
-    (see :mod:`repro.sim.kernels`), the batch is handed to the numba
-    kernel first — same tolerance contract, same lane purity — and this
-    NumPy path only runs when the compiled kernel is unavailable or
-    bails out (tabulated curves).
+    of array position — guarded by property tests in
+    tests/sim/test_fastmath.py. A lane that blows its iteration budget
+    freezes like a converged one and is reported once the rest finish.
     """
-    from repro.sim import kernels as _kernels
-
-    if _kernels.resolve_kernel(precision="fast") == "compiled":
-        out = _kernels.compiled_solve_batch(
-            platform, parsed, tol=tol, max_iter=max_iter, damping=damping
-        )
-        if out is not None:
-            if _fast_check_enabled():
-                _assert_fast_contract(
-                    platform, parsed, out,
-                    tol=tol, max_iter=max_iter, damping=damping,
-                )
-            return out
     n_points = len(parsed)
     n_cores = np.array([partition.n_cores for _, partition, _, _ in parsed])
     width = int(n_cores.max())
@@ -1230,18 +1489,12 @@ def _solve_batch_fast(
                 fused_cols.append(c)
                 fused_vals.append(fp)
     if fused_vals:
-        # Scatter all fused coefficients at once; fp order is
-        # (floor, span, blend, scale, knee, sharpness, at_one).
+        # Scatter all fused coefficients at once, zone by zone.
         fv = np.array(fused_vals)
         jj = np.array(fused_rows)
         cc = np.array(fused_cols)
-        u_curve[jj, cc] = fv[:, 4]  # knee
-        u_curve[jj, width + cc] = fv[:, 5]  # sharpness
-        u_curve[jj, 2 * width + cc] = fv[:, 2]  # blend
-        u_curve[jj, 3 * width + cc] = fv[:, 3]  # scale
-        u_curve[jj, 4 * width + cc] = fv[:, 0]  # floor
-        u_curve[jj, 5 * width + cc] = fv[:, 1]  # span
-        u_curve[jj, 6 * width + cc] = fv[:, 6]  # at_one
+        for zone, k in enumerate(_FUSED_ZONES):
+            u_curve[jj, zone * width + cc] = fv[:, k]
     solver_plane = u_solver[uidx]
     caps2 = u_caps[uidx]
     curve_plane = u_curve[uidx]
@@ -1289,27 +1542,11 @@ def _solve_batch_fast(
         means "all lanes" and skips the boolean gathers entirely.
         """
         if lane_mask is None:
-            w = ways2
-            cp = curve_plane
+            mr2[:] = _fused_mrc(ways2, curve_plane, width)
         else:
-            w = ways2[lane_mask]
-            cp = curve_plane[lane_mask]
-        z = (w - cp[:, :width]) / cp[:, width : 2 * width]
-        kp = 1.0 - 1.0 / (1.0 + np.exp(-np.clip(z, -40.0, 40.0)))
-        kp = np.where(z > 40.0, 0.0, np.where(z < -40.0, 1.0, kp))
-        blend = cp[:, 2 * width : 3 * width]
-        exp_part = np.exp(-w / cp[:, 3 * width : 4 * width])
-        captured = blend * exp_part + (1.0 - blend) * kp
-        value = (
-            cp[:, 4 * width : 5 * width]
-            + cp[:, 5 * width : 6 * width] * captured
-        )
-        at1 = cp[:, 6 * width :]
-        value = np.where(w < 1.0, 1.0 + (at1 - 1.0) * w, value)
-        if lane_mask is None:
-            np.clip(value, 0.0, 1.0, out=mr2)
-        else:
-            mr2[lane_mask] = np.clip(value, 0.0, 1.0)
+            mr2[lane_mask] = _fused_mrc(
+                ways2[lane_mask], curve_plane[lane_mask], width
+            )
         for curve, rows, cols in tab_groups:
             if lane_mask is None:
                 r, c = rows, cols
@@ -1378,6 +1615,7 @@ def _solve_batch_fast(
     iterations = np.zeros(n_points, dtype=np.int64)
     active = np.ones(n_points, dtype=bool)
     row_of = np.empty(n_points, dtype=np.int64)
+    failures: list[tuple[int, int, ConvergenceError]] = []
 
     while True:
         act = np.nonzero(active)[0]
@@ -1444,11 +1682,15 @@ def _solve_batch_fast(
         active[act[conv]] = False
         blown = iterations[act] >= budget[act]
         if blown.any():
-            i = int(act[np.nonzero(blown)[0][0]])
-            raise ConvergenceError(
-                f"fast lane {i}: no convergence after {int(iterations[i])} "
-                f"iterations (latency={latency[i]:.1f} cy, precision=fast)"
-            )
+            for i in act[blown].tolist():
+                error = ConvergenceError(
+                    f"fast lane {i}: no convergence after "
+                    f"{int(iterations[i])} iterations "
+                    f"(latency={latency[i]:.1f} cy, precision=fast)"
+                )
+                error.iterations = int(iterations[i])
+                failures.append((error.iterations, i, error))
+            active[act[blown]] = False
 
     # Final consistent evaluation at each converged operating point.
     np.minimum(ways2, caps2, out=ways2)
@@ -1520,10 +1762,8 @@ def _solve_batch_fast(
                 iterations=iter_list[i],
             )
         )
-    if _fast_check_enabled():
-        _assert_fast_contract(
-            platform, parsed, out, tol=tol, max_iter=max_iter, damping=damping
-        )
+    if failures:
+        _raise_failed(failures, out)
     return out
 
 
@@ -1647,12 +1887,7 @@ class SteadyStateCache:
                 warm_start=warm_start, precision=precision,
             )
         if warm_start is None:
-            with self._lock:
-                self._data[key] = state
-                if len(self._data) > self.max_entries:
-                    self._data.popitem(last=False)
-                size = len(self._data)
-            registry.gauge("steady_cache.size").set(size)
+            self._insert([(key, state)])
         return state
 
     def solve_many(
@@ -1675,10 +1910,15 @@ class SteadyStateCache:
         to scalar cold solves, the memo invariant — every inserted entry
         equals a cold scalar solve of its key — is preserved.
 
-        ``precision="fast"`` keys and solves through the fast contract;
-        fast points always take the fast kernel (even singleton batches),
-        so a fast memo entry is a pure function of its key no matter
-        which call path inserted it.
+        ``precision="fast"`` keys and solves through the fast contract,
+        always through :func:`solve_steady_state_batch`. Its per-lane and
+        vectorised paths agree bit for bit, so a fast memo entry is a
+        pure function of its key no matter which call inserted it.
+
+        When a point does not converge, the :class:`ConvergenceError`
+        propagates — but a fast call first solves every other point, and
+        those are memoised before the error is re-raised; the failed
+        points get no entry.
 
         Duplicate points are solved once; the duplicates (and any point
         already memoised) count as hits, the distinct cold points as
@@ -1728,20 +1968,29 @@ class SteadyStateCache:
             registry.counter("steady_cache.misses").inc(len(pending))
             cold = list(pending.items())
             t0 = time.perf_counter()
-            if len(cold) >= min_batch or precision == "fast":
-                states = solve_steady_state_batch(
-                    platform,
-                    [point for _key, point in cold],
-                    precision=precision,
-                )
-            else:
-                states = [
-                    solve_steady_state(
-                        platform, phases, partition, mba_scale=mba,
-                        prefetch=prefetch, precision=precision,
+            try:
+                if len(cold) >= min_batch or precision == "fast":
+                    states = solve_steady_state_batch(
+                        platform,
+                        [point for _key, point in cold],
+                        precision=precision,
                     )
-                    for _key, (phases, partition, mba, prefetch) in cold
-                ]
+                else:
+                    states = [
+                        solve_steady_state(
+                            platform, phases, partition, mba_scale=mba,
+                            prefetch=prefetch, precision=precision,
+                        )
+                        for _key, (phases, partition, mba, prefetch) in cold
+                    ]
+            except ConvergenceError as error:
+                if error.states is not None:
+                    self._insert(
+                        (key, state)
+                        for (key, _point), state in zip(cold, error.states)
+                        if state is not None
+                    )
+                raise
             if registry.enabled:
                 elapsed = time.perf_counter() - t0
                 registry.histogram("steady_cache.batch_seconds").observe(
@@ -1759,15 +2008,20 @@ class SteadyStateCache:
                 registry.counter("steady_cache.solve_iterations").inc(
                     sum(s.iterations for s in states)
                 )
-            with self._lock:
-                for (key, _point), state in zip(cold, states):
-                    results[key] = state
-                    self._data[key] = state
-                    if len(self._data) > self.max_entries:
-                        self._data.popitem(last=False)
-                size = len(self._data)
-            registry.gauge("steady_cache.size").set(size)
+            solved = list(zip((key for key, _point in cold), states))
+            results.update(solved)
+            self._insert(solved)
         return [results[key] for key in keys]
+
+    def _insert(self, entries) -> None:
+        """Memoise ``(key, state)`` pairs, evicting the oldest past the cap."""
+        with self._lock:
+            for key, state in entries:
+                self._data[key] = state
+                if len(self._data) > self.max_entries:
+                    self._data.popitem(last=False)
+            size = len(self._data)
+        get_registry().gauge("steady_cache.size").set(size)
 
     def __len__(self) -> int:
         return len(self._data)

@@ -30,6 +30,19 @@ __all__ = [
 _EPS = 1e-12
 
 
+def _ordered_sum(values) -> float:
+    """Sum from ``0.0`` in iteration order (fixed core order).
+
+    The batch kernels' column loops reduce this way. NumPy's ``.sum()`` is
+    pairwise and ``sum()`` compensates from Python 3.12 on, so neither is
+    guaranteed to round the same.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def waterfill(
     total_ways: float,
     weights: np.ndarray,
@@ -54,23 +67,30 @@ def waterfill(
         raise ValueError("caps must be non-negative")
     if total_ways < 0:
         raise ValueError("total_ways must be non-negative")
+    return np.asarray(
+        _waterfill(float(total_ways), weights.tolist(), caps.tolist())
+    )
 
-    # Pure-Python implementation: this runs once per solver iteration on
-    # ~10-element inputs, where float loops are several times faster than
-    # boolean-mask NumPy (see the solver's profiling notes).
-    n = weights.size
-    w_list = weights.tolist()
-    cap_list = caps.tolist()
+
+def _waterfill(
+    remaining: float, w_list: list[float], cap_list: list[float]
+) -> list[float]:
+    """:func:`waterfill` on validated Python lists.
+
+    Pure-Python implementation: this runs once per solver iteration on
+    ~10-element inputs, where float loops are several times faster than
+    boolean-mask NumPy (see the solver's profiling notes).
+    """
+    n = len(w_list)
     result = [0.0] * n
     active = [w > _EPS and c > _EPS for w, c in zip(w_list, cap_list)]
-    remaining = float(total_ways)
 
     # Each pass either finishes or permanently retires >= 1 competitor, so
     # at most n passes run.
     for _ in range(n):
         if remaining <= _EPS or not any(active):
             break
-        weight_sum = sum(w for w, a in zip(w_list, active) if a)
+        weight_sum = _ordered_sum(w for w, a in zip(w_list, active) if a)
         overflow = False
         for i in range(n):
             if not active[i]:
@@ -94,7 +114,7 @@ def waterfill(
                 result[i] = cap_list[i]
                 active[i] = False
         remaining -= granted
-    return np.asarray(result)
+    return result
 
 
 def effective_ways(
@@ -102,6 +122,8 @@ def effective_ways(
     pressures: np.ndarray,
     caps: np.ndarray,
     theta: float,
+    *,
+    core_order: bool = False,
 ) -> np.ndarray:
     """Per-core effective LLC ways under ``partition``.
 
@@ -112,7 +134,11 @@ def effective_ways(
 
     The optional shared zone is first divided between groups in proportion
     to their aggregate pressure, then each group's (exclusive + zone-share)
-    capacity is water-filled among its member cores.
+    capacity is water-filled among its member cores. ``core_order=True``
+    sums the group pressures in fixed core order, as
+    :func:`effective_ways_batch` does, so the result equals that
+    function's lane bit for bit (the fast solver's per-lane path); the
+    default keeps NumPy's pairwise sums of the exact solver.
     """
     pressures = np.asarray(pressures, dtype=float)
     caps = np.asarray(caps, dtype=float)
@@ -121,25 +147,42 @@ def effective_ways(
             f"expected {partition.n_cores} pressures, got {pressures.size}"
         )
     weights = np.power(np.maximum(pressures, 0.0), theta)
+    weight_list = weights.tolist()
 
     # Split the shared zone between groups by aggregate pressure weight.
     zone_share = {g.name: 0.0 for g in partition.groups}
     if partition.shared_ways > _EPS:
-        group_weight = np.array(
-            [weights[list(g.cores)].sum() for g in partition.groups]
-        )
-        total_weight = group_weight.sum()
+        if core_order:
+            group_weight = [
+                _ordered_sum(weight_list[c] for c in g.cores)
+                for g in partition.groups
+            ]
+            total_weight = _ordered_sum(group_weight)
+        else:
+            group_weight = np.array(
+                [weights[list(g.cores)].sum() for g in partition.groups]
+            )
+            total_weight = group_weight.sum()
         if total_weight > _EPS:
             for g, gw in zip(partition.groups, group_weight):
                 zone_share[g.name] = partition.shared_ways * gw / total_weight
 
-    out = np.zeros(partition.n_cores)
+    # Per group on Python lists (the same operations as waterfill on the
+    # group's slices, without its per-call array validation).
+    cap_list = caps.tolist()
+    if any(c < 0 for c in cap_list):
+        raise ValueError("caps must be non-negative")
+    out = [0.0] * partition.n_cores
     for group in partition.groups:
-        idx = np.fromiter(group.cores, dtype=int)
-        capacity = group.ways + zone_share[group.name]
-        group_caps = np.minimum(caps[idx], capacity)
-        out[idx] = waterfill(capacity, weights[idx], group_caps)
-    return out
+        capacity = float(group.ways + zone_share[group.name])
+        shares = _waterfill(
+            capacity,
+            [weight_list[c] for c in group.cores],
+            [min(cap_list[c], capacity) for c in group.cores],
+        )
+        for c, share in zip(group.cores, shares):
+            out[c] = share
+    return np.array(out)
 
 
 def waterfill_batch(

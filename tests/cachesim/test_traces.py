@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cachesim.traces import (
+    _CHUNK,
     LINE,
     mixed_trace,
     streaming_trace,
@@ -61,6 +62,36 @@ class TestZipf:
     def test_confined_to_universe(self):
         trace = zipf_trace(2000, make_rng(1), universe_lines=32)
         assert all(0 <= a < 32 * LINE for a in trace)
+
+
+class TestChunkedDraws:
+    """The lazily drawing generators equal a one-shot draw of all values.
+
+    ``n`` spans three draw chunks; the odd working-set size makes the
+    bounded-integer sampler reject some draws, so chunk boundaries do not
+    fall on fixed bit-stream offsets.
+    """
+
+    N = 2 * _CHUNK + 12345
+
+    def test_working_set_equals_one_shot(self):
+        ws = 3 * 2**30 + 7
+        trace = list(working_set_trace(self.N, make_rng(11), ws_lines=ws))
+        picks = make_rng(11).integers(0, ws, size=self.N)
+        assert trace == [int(p) * LINE for p in picks]
+
+    def test_zipf_equals_one_shot(self):
+        trace = list(zipf_trace(self.N, make_rng(12), universe_lines=1000))
+        ranks = make_rng(12).zipf(1.2, size=self.N)
+        assert trace == [(int(r - 1) % 1000) * LINE for r in ranks]
+
+    def test_huge_traces_draw_lazily(self):
+        # 10**9 up-front draws would need ~8 GB; the first values come
+        # from one chunk.
+        trace = working_set_trace(10**9, make_rng(3), ws_lines=128)
+        head = [next(trace) for _ in range(10)]
+        expected = make_rng(3).integers(0, 128, size=10)
+        assert head == [int(p) * LINE for p in expected]
 
 
 class TestMixed:

@@ -148,6 +148,22 @@ class TestBenchJsonSchemaDrift:
         # Old row had wall_clock; the delta still renders.
         assert "prev 12.0s" in text
 
+    def test_history_without_lane_counters(self, tmp_path):
+        artefact = tmp_path / "BENCH_headline.json"
+        history = artefact.with_name("BENCH_history.jsonl")
+        older = _headline_payload()
+        older["solver"]["fast_solves"] = 4
+        history.write_text(json.dumps(older) + "\n")
+        payload = _headline_payload()
+        payload["solver"]["fast_solves"] = 5
+        payload["solver"]["fast_lane_solves"] = 3
+        payload["solver"]["fast_lane_points"] = 3
+        artefact.write_text(json.dumps(payload))
+        text = "\n".join(compare_saves.report_bench_json(artefact))
+        assert "solver.fast_lane_solves: 3" in text
+        assert "solver.fast_lane_points: 3" in text
+        assert "solver.fast_solves: 5 (prev 4" in text
+
     def test_new_history_fields_tolerated_by_old_style_payload(self, tmp_path):
         artefact = tmp_path / "BENCH_headline.json"
         history = artefact.with_name("BENCH_history.jsonl")

@@ -117,3 +117,87 @@ class TestParallelCampaigns:
             assert result.policy == policy.name
         # Duplicates were served from cache, not recomputed.
         assert store.stats()["recomputed"] == len(cells)
+
+
+class TestPrewarmConvergenceFailure:
+    """A point the fast kernel cannot converge never aborts a campaign.
+
+    UM on h264ref1 + 8 x gcc_base6 does not converge within the solver's
+    budget. The fused phase-product prewarm keeps every other point of its
+    batch and leaves the failed one out of the memo; the cell owning it
+    then fails on its own, under the campaign's retry / quarantine rules.
+    """
+
+    FAILING = ("h264ref1", "gcc_base6", 8, UnmanagedPolicy())
+    HEALTHY = ("namd1", "lbm1", 8, UnmanagedPolicy())
+
+    @staticmethod
+    def _store():
+        from repro.experiments.supervise import SuperviseConfig
+
+        return ResultStore(
+            n_workers=1,
+            supervise=SuperviseConfig(
+                max_retries=2, backoff_base_s=0.0, on_failure="skip"
+            ),
+            precision="fast",
+        )
+
+    @staticmethod
+    def _keys(cell):
+        from repro.sim.contention import SteadyStateCache
+        from repro.sim.partition import PartitionSpec
+        from repro.sim.server import phase_product_points
+        from repro.workloads.mix import make_mix
+
+        hp, be, n_be, _policy = cell
+        models = make_mix(hp, be, n_be=n_be).apps()
+        partition = PartitionSpec.unmanaged(len(models), 20)
+        return [
+            SteadyStateCache.make_key(
+                TABLE1_PLATFORM, phases, partition, mba, "fast",
+                prefetch=prefetch,
+            )
+            for phases, partition, mba, prefetch in phase_product_points(
+                models, partition
+            )
+        ]
+
+    def test_prewarm_keeps_converged_points_only(self, clean_caches):
+        from repro.experiments.parallel import _prewarm_phase_products
+        from repro.sim.contention import GLOBAL_STEADY_CACHE, solver_counters
+
+        before = solver_counters()["fast_solves"]
+        submitted = _prewarm_phase_products(
+            TABLE1_PLATFORM,
+            [self.FAILING, self.HEALTHY],
+            {"precision": "fast"},
+        )
+        # One fused call, not re-run after the failure.
+        assert solver_counters()["fast_solves"] - before == 1
+        failing, healthy = self._keys(self.FAILING), self._keys(self.HEALTHY)
+        assert submitted == len(failing) + len(healthy)
+        memo = GLOBAL_STEADY_CACHE._data
+        assert not any(key in memo for key in failing)
+        assert all(key in memo for key in healthy)
+
+    def test_campaign_completes_and_quarantines_the_failing_cell(
+        self, clean_caches
+    ):
+        from repro.sim.contention import GLOBAL_STEADY_CACHE
+        from repro.sim.solo import clear_caches
+
+        store = self._store()
+        failing, healthy = store.get_many([self.FAILING, self.HEALTHY])
+        assert failing is None
+        [failed] = store.failures
+        assert (failed.hp_name, failed.be_name, failed.n_be) == (
+            self.FAILING[:3]
+        )
+        assert len(failed.attempts) == 3
+        assert "ConvergenceError" in store.failure_manifest()[0]["error"]
+
+        clear_caches()
+        GLOBAL_STEADY_CACHE.clear()
+        [alone] = self._store().get_many([self.HEALTHY])
+        assert healthy == alone
